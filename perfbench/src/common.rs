@@ -137,26 +137,44 @@ pub struct Sample {
     pub cells: u64,
 }
 
-/// Runs `setup` `repeats` times and returns the median on-CPU and wall
-/// seconds, with the last set-up's product. `setup` also returns the on-CPU
-/// time its child processes spent. Earlier products are dropped before the
-/// next set-up starts.
-pub fn repeated_setup<T>(
-    repeats: usize,
-    mut setup: impl FnMut() -> Result<(T, Duration), String>,
-) -> Result<(f64, f64, T), String> {
-    let (mut cpu, mut wall) = (Vec::new(), Vec::new());
-    let mut product = None;
-    for _ in 0..repeats {
-        drop(product.take());
-        let (cpu0, wall0) = (thread_cpu(), Instant::now());
-        let (made, children) = setup()?;
-        wall.push(wall0.elapsed().as_secs_f64());
-        cpu.push((thread_cpu() - cpu0 + children).as_secs_f64());
-        product = Some(made);
+/// The set-ups of one run, one entry per set-up, in seconds.
+#[derive(Default)]
+pub struct SetupTimes {
+    /// On-CPU time at the reference speed.
+    pub host_s: Vec<f64>,
+    pub cpu_s: Vec<f64>,
+    pub wall_s: Vec<f64>,
+}
+
+impl SetupTimes {
+    /// Runs `setup` `repeats` times and returns the last set-up's product.
+    /// `setup` also returns the on-CPU time its child processes spent.
+    /// Earlier products are dropped before the next set-up starts. The
+    /// yardstick runs once right after each set-up, as it runs once right
+    /// after each timed request, so it meets the caches in the same state;
+    /// the set-ups of this call are scaled by the median of those runs.
+    pub fn measure<T>(
+        &mut self,
+        repeats: usize,
+        mut setup: impl FnMut() -> Result<(T, Duration), String>,
+    ) -> Result<T, String> {
+        let mut yardstick = Yardstick::new();
+        let (mut cpu, mut speed) = (Vec::new(), Vec::new());
+        let mut product = None;
+        for _ in 0..repeats {
+            drop(product.take());
+            let (cpu0, wall0) = (thread_cpu(), Instant::now());
+            let (made, children) = setup()?;
+            self.wall_s.push(wall0.elapsed().as_secs_f64());
+            cpu.push((thread_cpu() - cpu0 + children).as_secs_f64());
+            speed.push(ms(yardstick.measure()));
+            product = Some(made);
+        }
+        let scale = REFERENCE_YARDSTICK_MS / median(&speed);
+        self.host_s.extend(cpu.iter().map(|s| s * scale));
+        self.cpu_s.extend(cpu);
+        Ok(product.expect("at least one set-up"))
     }
-    let product = product.expect("at least one set-up");
-    Ok((median(&cpu), median(&wall), product))
 }
 
 /// `VmHWM` (peak resident set) of a process, in MB, from `/proc/<pid>/status`.
@@ -376,7 +394,7 @@ pub struct Phase {
 
 impl Phase {
     /// The factor that scales on-CPU time here to the reference speed.
-    pub fn speed_scale(&self) -> f64 {
+    fn speed_scale(&self) -> f64 {
         REFERENCE_YARDSTICK_MS / median(&self.yardstick_ms)
     }
 

@@ -23,17 +23,19 @@ mod inprocess;
 mod serve;
 mod training;
 
-use common::{
-    closed_loop, median, quantile, repeated_setup, Metric, Outcome, Phase, Sample, Tracer,
-};
+use common::{closed_loop, median, quantile, Metric, Outcome, Phase, Sample, SetupTimes, Tracer};
 use std::process::ExitCode;
 use std::time::Duration;
 
 /// The seed when `--seed` is not given.
 const DEFAULT_SEED: u64 = 1;
 
-/// Set-ups per run; `setup_s` is their median.
-const SETUPS: usize = 5;
+/// Set-ups per run, before the timed phase (the last one's product is
+/// measured) and after it (products dropped at once); `setup_s` is the
+/// median of all of them, so one burst of interference at start-up does not
+/// set it.
+const SETUPS_BEFORE: usize = 5;
+const SETUPS_AFTER: usize = 10;
 
 /// Consecutive slices of a timed phase; each host metric is the median of
 /// its per-slice values.
@@ -176,11 +178,13 @@ fn bench<W: Workload>(
 ) -> Result<Outcome, String> {
     let mut out = Outcome::default();
     common::pin_to_current_cpu()?;
-    let (setup_cpu_s, setup_wall_s, mut workload) = repeated_setup(SETUPS, || {
+    let mut setups = SetupTimes::default();
+    let mut set_up = || {
         let workload = setup(args.seed)?;
         let children = workload.child_cpu();
         Ok((workload, children))
-    })?;
+    };
+    let mut workload = setups.measure(SETUPS_BEFORE, &mut set_up)?;
     let cycle = workload.cycle();
     if !args.trace {
         let mut off = Tracer::new(false);
@@ -222,9 +226,12 @@ fn bench<W: Workload>(
                 )),
             );
         }
-        // Set-up runs just before the slices: scale it by their speed.
-        let setup_s = setup_cpu_s * over_slices(&Phase::speed_scale);
-        out.push(Metric::new("setup_s", setup_s, "s", SETUPS).note(raw(setup_cpu_s, setup_wall_s)));
+        drop(workload);
+        drop(setups.measure(SETUPS_AFTER, &mut set_up)?);
+        out.push(
+            Metric::new("setup_s", median(&setups.host_s), "s", setups.host_s.len())
+                .note(raw(median(&setups.cpu_s), median(&setups.wall_s))),
+        );
         out.push(Metric::new("peak_rss_mb", rss_mb, "MB", 1));
         gains::push(&mut out, args.seed)?;
         return Ok(out);

@@ -45,6 +45,10 @@ const HOT_CELLS: usize = 256;
 const HOT_STREAMS: usize = 8;
 /// Cells per set-up warm-up request.
 const WARM_BATCH: usize = 32;
+/// Collectives in each hot stream job, shuffled over the jobs by the seed.
+/// Every seed gets the same counts: the daemon's memory grows with their
+/// sum, and drawn counts moved `peak_rss_mb` by 20% from seed to seed.
+const STREAM_COLLECTIVES: [u64; HOT_STREAMS] = [4, 5, 5, 6, 6, 7, 7, 8];
 /// Requests per block: 8 campaign, 1 op-log, 1 stream.
 const BLOCK: usize = 10;
 
@@ -116,9 +120,11 @@ impl Inputs {
             .iter()
             .map(|&preset| random_cell(&mut rng, preset, 64, true))
             .collect();
+        let mut counts = STREAM_COLLECTIVES;
+        rng.shuffle(&mut counts);
         let hot_streams: Vec<(StreamJob, Platform)> = (0..HOT_STREAMS)
             .map(|s| {
-                let collectives = (0..rng.range(4, 8)).map(|c| {
+                let collectives = (0..counts[s]).map(|c| {
                     QueuedCollective::all_reduce_mib(format!("grad{c}"), rng.range(16, 256) as f64)
                         .issued_at(c as f64 * rng.range(0, 200_000) as f64)
                 });
