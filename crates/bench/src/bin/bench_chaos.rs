@@ -1,4 +1,4 @@
-//! Chaos gate: six deterministic failure-injection scenarios against the
+//! Chaos gate: seven deterministic failure-injection scenarios against the
 //! production-hardened service stack, each required to end in a **structured
 //! response or a clean recovery** — never a crash, hang, or silent
 //! corruption — with recovered results bit-identical to the healthy run.
@@ -23,6 +23,10 @@
 //!    behind, which is then corrupted; the resumed sweep must quarantine the
 //!    torn partial, re-run that shard, and merge bit-identically to the
 //!    healthy unsharded run.
+//! 7. **deep-nesting** — a real `themis-serve` daemon receives one line of
+//!    100k nested `[`, then a normal campaign; both must be answered (the
+//!    first with `status:"error"`, the second bit-identically), and the
+//!    daemon must exit 0 on `shutdown`.
 //!
 //! Usage:
 //!
@@ -34,7 +38,9 @@
 //! `bench-gate --chaos-scenarios N` checks in CI. `--smoke` only shrinks the
 //! fuzz-iteration count; every scenario still runs.
 
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -465,15 +471,81 @@ fn killed_resume(scratch: &Scratch, worker: &Path) -> Verdict {
     }
 }
 
+// --- Scenario 7: deeply nested request line against a real daemon ----------
+
+fn deep_nesting(serve_bin: &Path, healthy: &Json) -> Verdict {
+    let mut child = Command::new(serve_bin)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap_or_else(|err| die(&format!("cannot spawn themis-serve: {err}")));
+    let mut stdin = child.stdin.take().expect("stdin was piped");
+    let mut reader = BufReader::new(child.stdout.take().expect("stdout was piped"));
+    let mut exchange = |line: &str, what: &str| -> Json {
+        stdin
+            .write_all(line.as_bytes())
+            .and_then(|()| stdin.write_all(b"\n"))
+            .and_then(|()| stdin.flush())
+            .unwrap_or_else(|err| die(&format!("{what}: request write failed: {err}")));
+        let mut response = String::new();
+        match reader.read_line(&mut response) {
+            Ok(0) => die(&format!("{what}: the daemon closed its output unanswered")),
+            Ok(_) => Json::parse(&response)
+                .unwrap_or_else(|err| die(&format!("{what}: unparseable response: {err}"))),
+            Err(err) => die(&format!("{what}: response read failed: {err}")),
+        }
+    };
+
+    // Deep enough to overflow the stack of an uncapped recursive parser, yet
+    // only 100 KB: far under the daemon's line-size cap.
+    let deep = exchange(&"[".repeat(100_000), "deep line");
+    expect_status(&deep, "error", "deep line");
+    let follow_up = exchange(&campaign_request(71, &[]), "request after the deep line");
+    expect_status(&follow_up, "ok", "request after the deep line");
+    if follow_up.field("result").unwrap() != healthy {
+        die("request after the deep line diverged from the healthy run");
+    }
+    expect_status(
+        &exchange(r#"{"id":72,"kind":"shutdown"}"#, "shutdown"),
+        "ok",
+        "shutdown",
+    );
+    drop(stdin);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let status = loop {
+        match child.try_wait() {
+            Ok(Some(status)) => break status,
+            Ok(None) if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            Ok(None) => {
+                let _ = child.kill();
+                die("daemon did not exit within 30 s of shutdown");
+            }
+            Err(err) => die(&format!("cannot reap the daemon: {err}")),
+        }
+    };
+    if !status.success() {
+        die(&format!("daemon exited with {status} after shutdown"));
+    }
+    Verdict {
+        name: "deep-nesting",
+        detail: "100k-deep line answered status:error, next request bit-identical, clean exit"
+            .to_string(),
+    }
+}
+
 // --- Driver -----------------------------------------------------------------
 
-fn sibling_worker() -> PathBuf {
+/// A workspace binary built next to this one.
+fn sibling_bin(name: &str) -> PathBuf {
     let path = std::env::current_exe()
         .ok()
-        .and_then(|exe| Some(exe.parent()?.join("shard-worker")));
+        .and_then(|exe| Some(exe.parent()?.join(name)));
     match path {
         Some(path) if path.exists() => path,
-        _ => die("shard-worker binary not found next to bench-chaos (build the whole workspace)"),
+        _ => die(&format!(
+            "{name} binary not found next to bench-chaos (build the whole workspace)"
+        )),
     }
 }
 
@@ -486,7 +558,8 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "CHAOS_report.json".to_string());
     let fuzz_iterations = if smoke { 300 } else { 2000 };
-    let worker = sibling_worker();
+    let worker = sibling_bin("shard-worker");
+    let serve_bin = sibling_bin("themis-serve");
     let scratch = Scratch::new();
     let healthy = healthy_campaign_result();
 
@@ -498,6 +571,7 @@ fn main() {
         flood(&healthy),
         deadline_exceeded(&healthy),
         killed_resume(&scratch, &worker),
+        deep_nesting(&serve_bin, &healthy),
     ];
     // A scenario that fails die()s before reaching here, so every listed
     // verdict passed.

@@ -1,4 +1,4 @@
-//! Runner-scaling wall-clock benchmark (ROADMAP "criterion wiring" item).
+//! Runner-scaling wall-clock benchmark.
 //!
 //! Measures the campaign [`themis::api::Runner`] executing the same
 //! run matrix sequentially and with `parallel_threads(n)` for n = 1, 2, 4, 8,

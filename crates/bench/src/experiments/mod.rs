@@ -47,7 +47,7 @@ pub fn microbenchmark_sizes() -> Vec<DataSize> {
     ]
 }
 
-/// A reduced size sweep used by tests and the criterion benches.
+/// A reduced size sweep used by tests.
 pub fn quick_sizes() -> Vec<DataSize> {
     vec![DataSize::from_mib(100.0), DataSize::from_mib(1024.0)]
 }

@@ -21,8 +21,8 @@
 //! | [`experiments::summary`] | Sec. 6 headline numbers |
 //!
 //! Every module exposes a `run()` (or `run_with` for parameterised sweeps)
-//! returning a [`report::Report`] that the binaries print and that
-//! `themis-experiments` collects into `EXPERIMENTS.md`-ready markdown.
+//! returning a [`report::Report`] that `themis-experiments` collects into
+//! `EXPERIMENTS.md`-ready markdown.
 //!
 //! The experiments are built on the facade's campaign layer
 //! ([`themis::api`]): each sweep is declared as a

@@ -1071,6 +1071,27 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_legacy_dumps_are_rejected_not_overflowed() {
+        // An unsealed file skips the checksum, so its body reaches the
+        // parser as is: the nesting cap must turn it into an error.
+        let deep = format!(
+            "{{\"version\": 1, \"kind\": \"schedule-cache\", \"entries\": {}}}",
+            "[".repeat(100_000)
+        );
+        let cache = ScheduleCache::new();
+        assert!(matches!(
+            cache.load(&deep),
+            Err(ScheduleError::Serialization { .. })
+        ));
+        let dir = TempDir::new("deep");
+        let path = dir.file("schedules.json");
+        std::fs::write(&path, &deep).unwrap();
+        assert_eq!(cache.load_from_file(&path).unwrap(), 0);
+        assert!(dir.file("schedules.json.corrupt-0").exists());
+        assert!(cache.is_empty());
+    }
+
+    #[test]
     fn concurrent_publishers_lose_no_entries() {
         let dir = TempDir::new("race");
         let path = dir.file("schedules.json");

@@ -12,7 +12,6 @@ use std::fmt;
 
 /// Ordering policy for ready chunk operations within a dimension's queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum IntraDimPolicy {
     /// First-in first-out: execute chunks in arrival order (baseline default).
     #[default]

@@ -1,8 +1,8 @@
 //! A minimal, dependency-free JSON representation shared by the workspace.
 //!
 //! The build environment of this reproduction is fully offline, so the usual
-//! `serde`/`serde_json` pair is unavailable (the workspace's `serde` feature
-//! is a stub gate). This module implements the small subset the workspace
+//! `serde`/`serde_json` pair is unavailable and the workspace depends on no
+//! outside crate. This module implements the small subset the workspace
 //! needs: a [`Json`] value tree, a writer, and a strict recursive-descent
 //! parser. Floats are written with Rust's shortest round-trip `Display`, so a
 //! serialize → parse cycle reproduces bit-identical values.
@@ -16,6 +16,13 @@
 use std::error::Error;
 use std::fmt;
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+///
+/// The parser recurses once per level, so without a cap one line of nested
+/// `[` could overflow the stack and abort the process, which no
+/// `catch_unwind` can stop. Past the cap, parsing fails with a [`JsonError`].
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON serialization or parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,11 +176,12 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns [`JsonError`] on malformed input or trailing garbage.
+    /// Returns [`JsonError`] on malformed input, trailing garbage, or
+    /// arrays and objects nested deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err_at("trailing characters after JSON value", pos));
@@ -231,15 +239,20 @@ fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value inside `depth` already-open arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
+        Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(err_at(
+            &format!("arrays and objects nested deeper than {MAX_DEPTH} levels"),
+            *pos,
+        )),
         Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => parse_array(bytes, pos),
-        Some(b'{') => parse_object(bytes, pos),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
         Some(c) if c.is_ascii_digit() || *c == b'-' => parse_number(bytes, pos),
         Some(_) => Err(err_at("unexpected character", *pos)),
         None => Err(err_at("unexpected end of input", *pos)),
@@ -351,7 +364,7 @@ fn parse_hex4(bytes: &[u8], at: usize) -> Result<u32, JsonError> {
     u32::from_str_radix(hex, 16).map_err(|_| err_at("invalid \\u escape", at))
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -360,7 +373,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -373,7 +386,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{')?;
     let mut pairs = Vec::new();
     skip_ws(bytes, pos);
@@ -386,7 +399,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         pairs.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -483,6 +496,22 @@ mod tests {
         ] {
             assert!(Json::parse(bad).is_err(), "accepted `{bad}`");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.reason.contains("nested deeper"), "{err}");
+        // Objects count toward the same cap, mixed with arrays.
+        let mixed = "{\"a\":[".repeat(MAX_DEPTH / 2) + &"]}".repeat(MAX_DEPTH / 2);
+        assert!(Json::parse(&mixed).is_ok());
+        let deeper = format!("[{mixed}]");
+        assert!(Json::parse(&deeper).is_err());
+        // Far past the cap, parsing fails cleanly instead of overflowing the
+        // stack.
+        assert!(Json::parse(&"[".repeat(100_000)).is_err());
     }
 
     #[test]

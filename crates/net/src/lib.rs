@@ -30,18 +30,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-// Every crate's `serde` feature cascades down to this one, so this single
-// guard turns the otherwise-confusing "cannot find crate `serde`" errors into
-// an actionable message. The build environment is offline: the feature exists
-// to keep the `cfg_attr(feature = "serde", ...)` attributes a known cfg, not
-// to be enabled.
-#[cfg(feature = "serde")]
-compile_error!(
-    "the workspace `serde` feature is a stub gate for the offline build: \
-     vendor the `serde` crate (with the `derive` feature), add it to every \
-     crate's [dependencies], and remove this guard before enabling it"
-);
-
 pub mod bandwidth;
 pub mod dimension;
 pub mod error;

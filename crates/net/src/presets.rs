@@ -11,7 +11,6 @@ use crate::topology::NetworkTopology;
 
 /// Identifier of one of the predefined platforms.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PresetTopology {
     /// The "current" 2D platform of Fig. 4 (16×64, 1200/100 Gbps).
     Current2d,

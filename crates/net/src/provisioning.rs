@@ -17,7 +17,6 @@ use std::fmt;
 
 /// Classification of a pair of dimensions according to Sec. 6.3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum ProvisioningClass {
     /// `BW(dimK) = P_K × ... × P_{L-1} × BW(dimL)` (within tolerance).
     JustEnough,
@@ -42,7 +41,6 @@ impl fmt::Display for ProvisioningClass {
 
 /// Result of classifying one `(dimK, dimL)` pair.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PairClassification {
     /// Inner dimension index (`K`).
     pub inner: usize,
@@ -61,7 +59,6 @@ pub struct PairClassification {
 
 /// Full per-topology provisioning report.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ProvisioningReport {
     /// Topology name the report was generated for.
     pub topology: String,

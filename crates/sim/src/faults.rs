@@ -37,7 +37,6 @@ use themis_net::NetworkTopology;
 
 /// What happens to a dimension at a fault boundary.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum FaultKind {
     /// The dimension's link bandwidth drops to `factor` × its healthy value
     /// (absolute with respect to the healthy topology, not compounding).
@@ -57,7 +56,6 @@ pub enum FaultKind {
 /// One scheduled fault: a [`FaultKind`] applied to one dimension at an
 /// absolute simulated time.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultEvent {
     /// Activation time in simulated nanoseconds (`>= 0`, finite).
     pub at_ns: f64,
@@ -84,7 +82,6 @@ pub struct FaultEvent {
 /// ));
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

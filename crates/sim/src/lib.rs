@@ -25,9 +25,10 @@
 //! * [`stream`] — the streaming multi-collective queue engine: executes a
 //!   queue of collectives with event-driven admission and per-dimension
 //!   in-flight overlap (chunks of collective *k+1* start on dimensions
-//!   collective *k* has vacated).
-//! * [`timeline`] — sequential execution of several collectives (used by the
-//!   training-loop model); a thin back-to-back policy over the stream engine.
+//!   collective *k* has vacated). With
+//!   [`SimOptions::cross_collective_overlap`] off it runs the collectives
+//!   strictly back to back, the sequential timeline of the training-loop
+//!   model.
 //!
 //! ```
 //! use themis_core::{CollectiveRequest, CollectiveScheduler, ThemisScheduler};
@@ -49,9 +50,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod calendar;
 pub mod cancel;
-pub mod engine;
 pub mod error;
 pub mod executor;
 pub mod faults;
@@ -61,13 +60,10 @@ pub(crate) mod readyq;
 pub(crate) mod soa;
 pub mod stats;
 pub mod stream;
-pub mod timeline;
 pub mod trace;
 pub mod workspace;
 
-pub use calendar::CalendarQueue;
 pub use cancel::CancelToken;
-pub use engine::{EventQueue, ScheduledEvent};
 pub use error::SimError;
 pub use executor::CollectiveExecutor;
 pub use faults::{FaultEvent, FaultKind, FaultPlan, FaultTimeline};
@@ -75,6 +71,5 @@ pub use options::SimOptions;
 pub use pipeline::PipelineSimulator;
 pub use stats::{DimReport, SimReport};
 pub use stream::{CollectiveSpan, StreamEntry, StreamReport, StreamSimulator};
-pub use timeline::{TimelineEntry, TimelineReport, TimelineSimulator};
 pub use trace::{sim_report_trace, stream_report_trace};
 pub use workspace::SimWorkspace;

@@ -5,7 +5,6 @@ use crate::faults::FaultPlan;
 
 /// Options controlling the chunk-pipeline simulation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimOptions {
     /// Maximum number of chunk operations a dimension executes concurrently.
     ///

@@ -72,7 +72,6 @@ impl LabelInterner {
 
 /// Per-dimension statistics collected during a simulation.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DimReport {
     /// Aggregate per-NPU bandwidth of the dimension, bytes per nanosecond.
     pub bandwidth_bytes_per_ns: f64,
@@ -116,7 +115,6 @@ impl DimReport {
 /// One executed chunk operation, as recorded by the simulator's trace
 /// (the data behind the pipeline diagrams of Fig. 5).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct OpRecord {
     /// Dimension the op executed on.
     pub dim: usize,
@@ -141,7 +139,6 @@ impl OpRecord {
 
 /// The result of simulating one collective schedule.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimReport {
     /// Name of the scheduler that produced the executed schedule.
     pub scheduler_name: String,

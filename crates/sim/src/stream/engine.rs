@@ -1623,34 +1623,72 @@ mod tests {
         );
     }
 
+    fn run_sequential(topo: &NetworkTopology, entries: &[StreamEntry]) -> StreamReport {
+        run_stream(
+            topo,
+            SimOptions::default().with_cross_collective_overlap(false),
+            entries,
+        )
+    }
+
     #[test]
-    fn disabling_overlap_degenerates_to_the_sequential_timeline_bitwise() {
-        let topo = PresetTopology::SwSwSw3dHetero.build();
+    fn sequential_collectives_serialize_on_the_network() {
+        let topo = PresetTopology::SwSwSw3dHomo.build();
+        let entries = vec![entry("first", 0.0, 128.0), entry("second", 0.0, 128.0)];
+        let report = run_sequential(&topo, &entries);
+        assert_eq!(report.spans.len(), 2);
+        assert_eq!(report.spans[0].start_ns, 0.0);
+        let first_alone = report.spans[0].report.total_time_ns;
+        assert!((report.spans[1].start_ns - first_alone).abs() < 1e-6);
+        assert!((report.total_communication_ns() - report.finish_ns).abs() < 1e-6);
+        assert!((report.makespan_ns() - report.finish_ns).abs() < 1e-6);
+    }
+
+    #[test]
+    fn sequential_late_issue_times_delay_execution() {
+        let topo = PresetTopology::Sw2d.build();
+        let late_issue = 50_000_000.0;
+        let entries = vec![entry("early", 0.0, 64.0), entry("late", late_issue, 64.0)];
+        let report = run_sequential(&topo, &entries);
+        assert!(report.spans[1].start_ns >= late_issue);
+        assert!(report.makespan_ns() <= report.finish_ns);
+        assert!(report.total_communication_ns() < report.finish_ns);
+    }
+
+    #[test]
+    fn sequential_non_monotone_issue_times_execute_in_issue_order() {
+        let topo = PresetTopology::Sw2d.build();
+        // Entries listed out of issue order: the simulator admits by issue
+        // time, so the report comes back sorted.
         let entries = vec![
-            entry("a", 0.0, 128.0),
-            entry("b", 10_000.0, 64.0),
-            entry("c", 0.0, 32.0),
+            entry("late", 80_000_000.0, 32.0),
+            entry("early", 0.0, 64.0),
+            entry("middle", 40_000_000.0, 16.0),
         ];
-        let options = SimOptions::default().with_cross_collective_overlap(false);
-        let stream = run_stream(&topo, options, &entries);
-        let timeline_entries: Vec<crate::timeline::TimelineEntry> = entries
-            .iter()
-            .map(|e| crate::timeline::TimelineEntry {
-                label: e.label.clone(),
-                issue_ns: e.issue_ns,
-                request: e.request,
-            })
-            .collect();
-        let timeline = crate::timeline::TimelineSimulator::new(&topo, SimOptions::default())
-            .run(&mut ThemisScheduler::new(8), &timeline_entries)
-            .unwrap();
-        assert_eq!(stream.finish_ns.to_bits(), timeline.finish_ns.to_bits());
-        assert_eq!(stream.spans.len(), timeline.entries.len());
-        for (span, (entry, start, report)) in stream.spans.iter().zip(timeline.entries.iter()) {
-            assert_eq!(span.label, entry.label);
-            assert_eq!(span.start_ns.to_bits(), start.to_bits());
-            assert_eq!(&span.report, report);
-        }
+        let report = run_sequential(&topo, &entries);
+        let labels: Vec<&str> = report.spans.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(labels, vec!["early", "middle", "late"]);
+        assert!(report
+            .spans
+            .windows(2)
+            .all(|w| w[0].start_ns <= w[1].start_ns));
+        assert!(report.makespan_ns() > 0.0);
+        assert!(report.total_communication_ns() <= report.makespan_ns() + 1e-6);
+    }
+
+    #[test]
+    fn sequential_negative_issue_times_are_clamped_in_the_makespan() {
+        let topo = PresetTopology::Sw2d.build();
+        let entries = vec![
+            entry("before-time", -1e9, 64.0),
+            entry("at-zero", 0.0, 64.0),
+        ];
+        let report = run_sequential(&topo, &entries);
+        // A negative issue must not inflate the makespan: both collectives
+        // are issued at 0, so the makespan equals the finish time exactly and
+        // the back-to-back collectives fill it.
+        assert!((report.makespan_ns() - report.finish_ns).abs() < 1e-9);
+        assert!((report.total_communication_ns() - report.makespan_ns()).abs() < 1e-6);
     }
 
     #[test]
@@ -1802,10 +1840,14 @@ mod tests {
     #[test]
     fn empty_stream_is_a_noop() {
         let topo = PresetTopology::Sw2d.build();
-        let report = run_stream(&topo, SimOptions::default(), &[]);
-        assert!(report.spans.is_empty());
-        assert_eq!(report.finish_ns, 0.0);
-        assert_eq!(report.makespan_ns(), 0.0);
+        for overlap in [true, false] {
+            let options = SimOptions::default().with_cross_collective_overlap(overlap);
+            let report = run_stream(&topo, options, &[]);
+            assert!(report.spans.is_empty());
+            assert_eq!(report.finish_ns, 0.0);
+            assert_eq!(report.makespan_ns(), 0.0);
+            assert_eq!(report.total_communication_ns(), 0.0);
+        }
     }
 
     #[test]

@@ -23,10 +23,8 @@
 //! Setting [`crate::SimOptions::cross_collective_overlap`] to `false` selects
 //! the strict back-to-back execution of the sequential timeline model
 //! (implemented as isolated per-collective pipeline runs laid end to end,
-//! distinct from the overlap policy's merged event loop);
-//! [`crate::timeline::TimelineSimulator`] is a thin wrapper around that
-//! policy, making the stream engine the single entry point for collective
-//! queues.
+//! distinct from the overlap policy's merged event loop). The stream engine is
+//! the single entry point for collective queues.
 //!
 //! ```
 //! use themis_core::ThemisScheduler;

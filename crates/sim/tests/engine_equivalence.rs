@@ -1,191 +1,11 @@
-//! Equivalence suites for the event-loop rewrite.
-//!
-//! Two halves:
-//!
-//! 1. **Queue equivalence** — property tests driving a [`CalendarQueue`] and
-//!    the heap-backed [`EventQueue`] through identical random
-//!    schedule/pop interleavings and asserting they emit the exact same
-//!    event sequence (time bits, insertion sequence, payload), including
-//!    bucket wraparound, overflow parking and same-timestamp batches.
-//! 2. **Engine equivalence** — a deterministic preset grid (every preset
-//!    topology × both schedulers × single and stream execution) asserting
-//!    the data-oriented fast loops reproduce the reference engines bit for
-//!    bit. The random-cell counterpart lives in `tests/differential.rs`.
+//! Engine equivalence on a deterministic preset grid: every preset topology
+//! × both schedulers × single and stream execution, asserting the
+//! data-oriented fast loops reproduce the reference engines bit for bit. The
+//! random-cell counterpart lives in `tests/differential.rs`.
 
 use themis_core::{BaselineScheduler, CollectiveRequest, CollectiveScheduler, ThemisScheduler};
 use themis_net::presets::PresetTopology;
-use themis_sim::{
-    CalendarQueue, EventQueue, PipelineSimulator, SimOptions, StreamEntry, StreamSimulator,
-};
-
-/// Deterministic 64-bit LCG (same construction as `tests/differential.rs`).
-struct Lcg(u64);
-
-impl Lcg {
-    fn new(seed: u64) -> Self {
-        Lcg(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1))
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        self.0
-    }
-
-    fn below(&mut self, bound: usize) -> usize {
-        (self.next_u64() >> 11) as usize % bound.max(1)
-    }
-
-    fn range_f64(&mut self, lo: f64, hi: f64) -> f64 {
-        let unit = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        lo + unit * (hi - lo)
-    }
-
-    fn chance(&mut self, percent: usize) -> bool {
-        self.below(100) < percent
-    }
-}
-
-/// Draws a delay the way the engines produce them: a small per-dimension set
-/// of `A_K + N_K × B_K` costs (which makes bucket occupancy near-uniform),
-/// with occasional arbitrary floats, duplicates and zeros mixed in.
-fn random_delay(rng: &mut Lcg, cost_set: &[f64]) -> f64 {
-    match rng.below(10) {
-        0 => 0.0,
-        1 => rng.range_f64(0.0, 1e7),
-        _ => cost_set[rng.below(cost_set.len())],
-    }
-}
-
-fn random_cost_set(rng: &mut Lcg) -> Vec<f64> {
-    let fixed = rng.range_f64(0.0, 1000.0);
-    let per_unit = rng.range_f64(10.0, 50_000.0);
-    (1..=8).map(|n| fixed + n as f64 * per_unit).collect()
-}
-
-/// Runs the same schedule/pop interleaving through both queues and asserts
-/// identical event streams.
-fn drive_queues(rng: &mut Lcg, calendar: &mut CalendarQueue<u64>, heap: &mut EventQueue<u64>) {
-    let cost_set = random_cost_set(rng);
-    let mut payload = 0u64;
-    for _ in 0..400 {
-        if rng.chance(55) {
-            let delay = random_delay(rng, &cost_set);
-            calendar.schedule_after(delay, payload);
-            heap.schedule_after(delay, payload);
-            payload += 1;
-            // Occasionally pile more events onto the exact same timestamp.
-            while rng.chance(30) {
-                calendar.schedule_after(delay, payload);
-                heap.schedule_after(delay, payload);
-                payload += 1;
-            }
-        } else {
-            let from_calendar = calendar.pop();
-            let from_heap = heap.pop();
-            match (from_calendar, from_heap) {
-                (None, None) => {}
-                (Some(c), Some(h)) => {
-                    assert_eq!(
-                        c.time_ns.to_bits(),
-                        h.time_ns.to_bits(),
-                        "queues disagree on the next event time: {} vs {}",
-                        c.time_ns,
-                        h.time_ns
-                    );
-                    assert_eq!(c.sequence, h.sequence, "insertion order diverged");
-                    assert_eq!(c.payload, h.payload);
-                    assert_eq!(calendar.now_ns().to_bits(), heap.now_ns().to_bits());
-                }
-                (c, h) => panic!("one queue drained early: calendar={c:?} heap={h:?}"),
-            }
-            assert_eq!(calendar.len(), heap.len());
-        }
-    }
-    // Drain both completely: the tails must match too.
-    loop {
-        match (calendar.pop(), heap.pop()) {
-            (None, None) => break,
-            (Some(c), Some(h)) => {
-                assert_eq!(c.time_ns.to_bits(), h.time_ns.to_bits());
-                assert_eq!(c.sequence, h.sequence);
-                assert_eq!(c.payload, h.payload);
-            }
-            (c, h) => panic!("one queue drained early: calendar={c:?} heap={h:?}"),
-        }
-    }
-}
-
-#[test]
-fn calendar_queue_matches_the_heap_on_random_event_streams() {
-    for seed in 0..32u64 {
-        let mut rng = Lcg::new(0xCA_1E + seed);
-        let mut calendar = CalendarQueue::new();
-        let mut heap = EventQueue::new();
-        drive_queues(&mut rng, &mut calendar, &mut heap);
-    }
-}
-
-#[test]
-fn calendar_queue_matches_the_heap_with_adversarial_bucket_widths() {
-    // Tiny and huge fixed widths force constant wraparound (every event many
-    // buckets ahead) and constant same-bucket collisions respectively; both
-    // must still replay the heap order exactly, via the overflow bin and the
-    // in-bucket minimum scan.
-    for width in [1e-3, 1.0, 250.0, 1e9] {
-        for seed in 0..8u64 {
-            let mut rng = Lcg::new(0xBAD0 + seed);
-            let mut calendar = CalendarQueue::with_bucket_width(width);
-            let mut heap = EventQueue::new();
-            drive_queues(&mut rng, &mut calendar, &mut heap);
-        }
-    }
-}
-
-#[test]
-fn pop_batch_drains_exactly_the_ties_the_heap_would() {
-    for seed in 0..16u64 {
-        let mut rng = Lcg::new(0xBA_7C + seed);
-        let cost_set = random_cost_set(&mut rng);
-        let mut calendar = CalendarQueue::new();
-        let mut heap = EventQueue::new();
-        for payload in 0..200u64 {
-            let delay = random_delay(&mut rng, &cost_set);
-            calendar.schedule_after(delay, payload);
-            heap.schedule_after(delay, payload);
-        }
-        let mut batch = Vec::new();
-        while !calendar.is_empty() {
-            let drained = calendar.pop_batch(&mut batch);
-            assert_eq!(drained, batch.len());
-            assert!(drained > 0, "a non-empty queue must yield a batch");
-            // The heap yields the same events, in the same order, while its
-            // head time stays bit-equal to the batch timestamp.
-            let batch_time = batch[0].time_ns;
-            let mut sequences = Vec::with_capacity(drained);
-            for event in &batch {
-                assert_eq!(event.time_ns.to_bits(), batch_time.to_bits());
-                let from_heap = heap.pop().expect("heap has the same events");
-                assert_eq!(from_heap.time_ns.to_bits(), event.time_ns.to_bits());
-                assert_eq!(from_heap.sequence, event.sequence);
-                assert_eq!(from_heap.payload, event.payload);
-                sequences.push(event.sequence);
-            }
-            assert!(
-                sequences.windows(2).all(|w| w[0] < w[1]),
-                "same-timestamp batches must preserve insertion order"
-            );
-            assert!(heap
-                .peek_time_ns()
-                .is_none_or(|t| t.to_bits() != batch_time.to_bits()));
-        }
-        assert!(heap.is_empty());
-    }
-}
-
-// --- engine equivalence on the deterministic preset grid ---
+use themis_sim::{PipelineSimulator, SimOptions, StreamEntry, StreamSimulator};
 
 fn preset_grid_options() -> Vec<SimOptions> {
     vec![

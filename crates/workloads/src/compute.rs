@@ -9,7 +9,6 @@ use crate::error::WorkloadError;
 
 /// Roofline FP16 compute model for one NPU.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ComputeModel {
     peak_tflops_fp16: f64,
     efficiency: f64,

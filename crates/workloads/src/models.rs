@@ -12,7 +12,6 @@ use crate::layer::{Layer, LayerKind};
 
 /// A DNN workload: a named list of layer groups.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DnnModel {
     name: String,
     layers: Vec<Layer>,

@@ -38,7 +38,6 @@ struct PlanCtx<'a> {
 /// The communication scheduling policy used for a training run
 /// (the rows of Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum CommunicationPolicy {
     /// Multi-rail hierarchical baseline scheduling (Sec. 2.3).
     Baseline,
@@ -145,7 +144,6 @@ impl TrainingConfig {
 
 /// The latency breakdown of one training iteration (the bars of Fig. 12).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IterationBreakdown {
     /// Forward-pass compute time, ns.
     pub forward_compute_ns: f64,

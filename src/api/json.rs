@@ -2,8 +2,8 @@
 //! reports, shard specs and schedule-cache dumps.
 //!
 //! The build environment of this reproduction is fully offline, so the usual
-//! `serde`/`serde_json` pair is unavailable (the workspace's `serde` feature
-//! is a stub gate). The implementation lives in [`themis_core::json`] — so the
+//! `serde`/`serde_json` pair is unavailable and the workspace depends on no
+//! outside crate. The implementation lives in [`themis_core::json`] — so the
 //! core crate's [`themis_core::ScheduleCache::dump`] /
 //! [`themis_core::ScheduleCache::load`] speak the same format as the facade's
 //! campaign reports — and is re-exported here under its historical path.

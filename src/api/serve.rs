@@ -315,6 +315,9 @@ impl Service {
         line: &str,
         ext: impl FnOnce(&Service, &str, &Json) -> Option<Result<Json, ThemisError>>,
     ) -> String {
+        // The latency histogram covers the whole request, parse to rendered
+        // response, so JSON cost shows in the daemon's own metrics.
+        let started = Instant::now();
         let request = match Json::parse(line) {
             Ok(request) => request,
             Err(err) => return render_error(&Json::Null, &format!("malformed request: {err}")),
@@ -342,7 +345,6 @@ impl Service {
         } else {
             None
         };
-        let started = Instant::now();
         // Panic isolation: a panicking handler answers a structured error on
         // this request and leaves the daemon (and every other request) alive.
         // Cell computations carry their own inner guard (see
@@ -355,10 +357,8 @@ impl Service {
                     reason: format!("request panicked: {}", panic_message(payload.as_ref())),
                 })
             });
-        self.telemetry
-            .histogram(format!("serve.latency_ns.{kind}"))
-            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
-        match result {
+        let latency = format!("serve.latency_ns.{kind}");
+        let response = match result {
             Ok(result) => {
                 let delta = self.counters().delta(&before);
                 Json::obj([
@@ -378,7 +378,13 @@ impl Service {
                 self.telemetry.counter(format!("serve.errors.{kind}")).inc();
                 render_error(&id, &err.to_string())
             }
-        }
+        };
+        // Freeing a large request tree is part of its cost too.
+        drop(request);
+        self.telemetry
+            .histogram(latency)
+            .record(u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX));
+        response
     }
 
     /// Serves requests line by line from `reader`, writing one response line

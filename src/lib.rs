@@ -86,7 +86,7 @@ pub use themis_net::{
 pub use themis_sim::{
     sim_report_trace, stream_report_trace, CollectiveExecutor, CollectiveSpan, FaultEvent,
     FaultKind, FaultPlan, FaultTimeline, PipelineSimulator, SimOptions, SimReport, SimWorkspace,
-    StreamEntry, StreamReport, StreamSimulator, TimelineEntry, TimelineReport, TimelineSimulator,
+    StreamEntry, StreamReport, StreamSimulator,
 };
 pub use themis_workloads::{
     collective_stream, CommunicationPolicy, ComputeModel, FaultScenario, IterationBreakdown,

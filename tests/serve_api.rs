@@ -63,8 +63,12 @@ fn parse_ok(response: &str) -> Json {
 #[test]
 fn malformed_requests_get_structured_errors_not_crashes() {
     let service = Service::default();
+    // Deep enough to overflow the stack of a parser that recursed without a
+    // limit, yet far under the line-size cap.
+    let deep = "[".repeat(100_000);
     for bad in [
         "{oops",                                      // unparseable JSON
+        &deep,                                        // nested past the cap
         "42",                                         // not an object
         r#"{"id":1}"#,                                // missing kind
         r#"{"id":2,"kind":"nope"}"#,                  // unknown kind
@@ -108,6 +112,36 @@ fn error_responses_echo_the_request_id() {
     // An unparseable line has no id to echo; it comes back null.
     let response = Json::parse(&service.handle_line("{oops")).unwrap();
     assert_eq!(response.field("id").unwrap(), &Json::Null);
+}
+
+#[test]
+fn recorded_latency_covers_request_parsing() {
+    let service = Service::default();
+    // A ping whose line is dominated by a large padding array: parsing it
+    // costs far more than dispatching or rendering the tiny response.
+    let line = request(
+        1,
+        "ping",
+        vec![("pad", Json::Arr(vec![Json::Num(0.5); 100_000]))],
+    );
+    let rounds = 5u32;
+    let mut fastest_parse = std::time::Duration::MAX;
+    for _ in 0..rounds {
+        let started = std::time::Instant::now();
+        Json::parse(&line).unwrap();
+        fastest_parse = fastest_parse.min(started.elapsed());
+        parse_ok(&service.handle_line(&line));
+    }
+    let latency = service.telemetry().histogram("serve.latency_ns.ping");
+    assert_eq!(latency.count(), u64::from(rounds));
+    // The service's parse and the test's are timed separately and vary from
+    // run to run by a few percent, so the check allows half: a latency that
+    // left the parse out would read microseconds against milliseconds.
+    let mean_ns = latency.sum() / u64::from(rounds);
+    assert!(
+        u128::from(mean_ns) >= fastest_parse.as_nanos() / 2,
+        "recorded latency {mean_ns} ns misses the parse time {fastest_parse:?}"
+    );
 }
 
 #[test]

@@ -1,11 +1,8 @@
 //! Integration tests of the streaming multi-collective queue subsystem:
-//! the `themis::api::stream` layer end to end, its degeneration to the
-//! sequential timeline, training-derived streams, and JSON round-tripping.
+//! the `themis::api::stream` layer end to end against the sequential policy,
+//! training-derived streams, and JSON round-tripping.
 
 use themis::prelude::*;
-use themis::sim::stream::{StreamEntry, StreamSimulator};
-use themis::sim::{TimelineEntry, TimelineSimulator};
-use themis::ThemisScheduler;
 
 fn gradient_stream() -> StreamJob {
     StreamJob::named("grads")
@@ -13,53 +10,6 @@ fn gradient_stream() -> StreamJob {
         .push(QueuedCollective::all_reduce_mib("layer-2", 64.0).issued_at(50_000.0))
         .push(QueuedCollective::all_reduce_mib("layer-1", 32.0).issued_at(100_000.0))
         .chunks(16)
-}
-
-#[test]
-fn stream_engine_degenerates_to_the_sequential_timeline_bit_identically() {
-    // The satellite guarantee: with cross-collective overlap disabled, the
-    // stream engine and the (wrapper) timeline simulator are the same code
-    // path and agree bit for bit.
-    let topo = PresetTopology::SwSwSw3dHetero.build();
-    let entries: Vec<StreamEntry> = gradient_stream()
-        .entries()
-        .iter()
-        .map(|c| StreamEntry::new(c.label().to_string(), c.issue_ns(), c.request()))
-        .collect();
-    let sequential_options = SimOptions::default().with_cross_collective_overlap(false);
-    let stream = StreamSimulator::new(&topo, sequential_options)
-        .run(&mut ThemisScheduler::new(16), &entries)
-        .unwrap();
-
-    let timeline_entries: Vec<TimelineEntry> = gradient_stream()
-        .entries()
-        .iter()
-        .map(|c| TimelineEntry {
-            label: c.label().to_string(),
-            issue_ns: c.issue_ns(),
-            request: c.request(),
-        })
-        .collect();
-    let timeline = TimelineSimulator::new(&topo, SimOptions::default())
-        .run(&mut ThemisScheduler::new(16), &timeline_entries)
-        .unwrap();
-
-    assert_eq!(stream.finish_ns.to_bits(), timeline.finish_ns.to_bits());
-    assert_eq!(stream.spans.len(), timeline.entries.len());
-    for (span, (entry, start, report)) in stream.spans.iter().zip(timeline.entries.iter()) {
-        assert_eq!(span.label, entry.label);
-        assert_eq!(span.start_ns.to_bits(), start.to_bits());
-        assert_eq!(&span.report, report);
-    }
-    // And the report helpers agree on the derived quantities.
-    assert_eq!(
-        stream.makespan_ns().to_bits(),
-        timeline.makespan_ns().to_bits()
-    );
-    assert_eq!(
-        stream.total_communication_ns().to_bits(),
-        timeline.total_communication_ns().to_bits()
-    );
 }
 
 #[test]
