@@ -519,6 +519,7 @@ fn faulted_sweeps_cross_the_process_boundary_bit_identically() {
     assert!(outcome.failures.is_empty());
 }
 
+#[cfg(unix)]
 #[test]
 fn resume_quarantines_corrupt_partials_and_reruns_the_shard() {
     use themis::core::durable;
@@ -527,16 +528,39 @@ fn resume_quarantines_corrupt_partials_and_reruns_the_shard() {
     let reference = CampaignReport::new(Runner::sequential().execute(&specs).unwrap());
     let scratch = Scratch::new("corrupt-resume");
     let sweep = format!("corrupt-{}", std::process::id());
+    let partial = scratch.path(&format!("work/sweep-{sweep}/shard-0.partial.json"));
+
+    // The orchestrator kills every running worker once a shard exhausts its
+    // attempts, so shard 0 only leaves a partial if it finishes before
+    // shard 1 crashes. Shard 1's worker therefore waits (up to 60 s) for
+    // shard 0's partial before it starts; shard 0 runs the real worker.
+    let worker = scratch.path("gated.sh");
+    write_script(
+        &worker,
+        &format!(
+            "#!/bin/sh\n\
+             case \"$2\" in\n\
+               *shard-1.spec.json)\n\
+                 i=0\n\
+                 while [ ! -e \"{partial}\" ] && [ $i -lt 600 ]; do\n\
+                   sleep 0.1\n\
+                   i=$((i + 1))\n\
+                 done ;;\n\
+             esac\n\
+             exec \"{real}\" \"$@\"\n",
+            partial = partial.display(),
+            real = WORKER
+        ),
+    );
 
     // Kill the sweep mid-run: shard 1's only attempt aborts after one cell,
     // leaving shard 0's finished partial in the deterministic sweep dir.
-    let mut crash = OrchestratorOptions::new(WORKER).with_sweep_id(&sweep);
+    let mut crash = OrchestratorOptions::new(&worker).with_sweep_id(&sweep);
     crash.shards = 2;
     crash.work_dir = scratch.path("work");
     crash.max_attempts = 1;
     crash.fail_first_attempt = vec![(1, 1)];
     assert!(Orchestrator::new(crash).run_campaign(&specs).is_err());
-    let partial = scratch.path(&format!("work/sweep-{sweep}/shard-0.partial.json"));
     assert!(partial.exists(), "crash run left no shard-0 partial");
 
     // Corrupt the survivor mid-body with the checksum trailer intact — the

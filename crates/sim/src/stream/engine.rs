@@ -1645,6 +1645,16 @@ mod tests {
     }
 
     #[test]
+    fn sequential_empty_stream_reports_zero() {
+        let topo = PresetTopology::Sw2d.build();
+        let report = run_sequential(&topo, &[]);
+        assert!(report.spans.is_empty());
+        assert_eq!(report.finish_ns, 0.0);
+        assert_eq!(report.makespan_ns(), 0.0);
+        assert_eq!(report.total_communication_ns(), 0.0);
+    }
+
+    #[test]
     fn sequential_late_issue_times_delay_execution() {
         let topo = PresetTopology::Sw2d.build();
         let late_issue = 50_000_000.0;
@@ -1840,14 +1850,10 @@ mod tests {
     #[test]
     fn empty_stream_is_a_noop() {
         let topo = PresetTopology::Sw2d.build();
-        for overlap in [true, false] {
-            let options = SimOptions::default().with_cross_collective_overlap(overlap);
-            let report = run_stream(&topo, options, &[]);
-            assert!(report.spans.is_empty());
-            assert_eq!(report.finish_ns, 0.0);
-            assert_eq!(report.makespan_ns(), 0.0);
-            assert_eq!(report.total_communication_ns(), 0.0);
-        }
+        let report = run_stream(&topo, SimOptions::default(), &[]);
+        assert!(report.spans.is_empty());
+        assert_eq!(report.finish_ns, 0.0);
+        assert_eq!(report.makespan_ns(), 0.0);
     }
 
     #[test]

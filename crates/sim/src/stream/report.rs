@@ -168,6 +168,16 @@ mod tests {
     }
 
     #[test]
+    fn makespan_is_zero_for_degenerate_reports() {
+        // No collective ran, so a stray finish time must not show up as
+        // makespan or communication.
+        let mut report = StreamReport::empty("s", "t", Vec::new());
+        report.finish_ns = 1_000.0;
+        assert_eq!(report.makespan_ns(), 0.0);
+        assert_eq!(report.total_communication_ns(), 0.0);
+    }
+
+    #[test]
     fn span_arithmetic() {
         let mut s = span(3, 5.0, 10.0, 30.0);
         s.overlapped_ns = 8.0;
